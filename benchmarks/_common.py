@@ -8,11 +8,11 @@ through pytest-benchmark so ``pytest benchmarks/ --benchmark-only``
 exercises everything.
 
 The shared trial kernel (:func:`repro.sim.runner.run_attack`) and the
-benchmark scenario (:data:`repro.campaign.experiments.BENCH_CONFIG`)
-live in the library so campaign worker processes can import them; this
-module re-exports them for the benchmark scripts.  Campaign-migrated
-experiments (exp03/exp04/exp07/ext04) run through
-:func:`repro.campaign.run_campaign` — ``bench_executor`` picks the
+benchmark scenario (:data:`repro.sim.scenario.BENCH_CONFIG`) live in the
+library so campaign worker processes can import them; this module
+re-exports them for the benchmark scripts.  The built-in campaigns
+(exp03/exp04/exp07/exp13/ext04) run through
+:func:`repro.campaign.run_campaign` — ``campaign_executor`` picks the
 process-pool executor unless ``REPRO_BENCH_SERIAL=1``.
 """
 
@@ -23,21 +23,17 @@ import os
 import pathlib
 
 from repro.analysis.aggregate import mean_ci
-from repro.attack.attacker import CsaAttacker, PlannedAttacker
 from repro.campaign.executor import ParallelExecutor, SerialExecutor
-from repro.campaign.experiments import BENCH_CONFIG
-from repro.core.windows import StealthPolicy
 from repro.sim.runner import run_attack
+from repro.sim.scenario import BENCH_CONFIG
 
 __all__ = [
     "BENCH_CONFIG",
     "RESULTS_DIR",
-    "bench_executor",
-    "csa_attacker_factory",
+    "campaign_executor",
     "emit",
     "emit_json",
     "mean_ratio",
-    "planner_attacker_factory",
     "run_attack",
     "series_sidecar",
 ]
@@ -73,29 +69,11 @@ def series_sidecar(x_name, x_values, cells_by_series) -> dict:
     return {"x": {"name": x_name, "values": list(x_values)}, "series": series}
 
 
-def bench_executor():
+def campaign_executor():
     """The campaign executor benchmarks use (parallel unless overridden)."""
     if os.environ.get("REPRO_BENCH_SERIAL"):
         return SerialExecutor()
     return ParallelExecutor()
-
-
-def csa_attacker_factory(key_count: int, stealth: StealthPolicy | None = None):
-    """Factory for fresh CSA attackers (controllers are single-use)."""
-
-    def make():
-        return CsaAttacker(key_count=key_count, stealth=stealth)
-
-    return make
-
-
-def planner_attacker_factory(planner_factory, key_count: int):
-    """Factory for baseline attackers wrapping a TIDE planner."""
-
-    def make():
-        return PlannedAttacker(planner=planner_factory(), key_count=key_count)
-
-    return make
 
 
 def mean_ratio(values) -> str:

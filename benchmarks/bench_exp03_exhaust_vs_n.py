@@ -5,21 +5,27 @@ key nodes", across network sizes, against the planning baselines.  All
 attackers share the same stealth envelope and cover-traffic behaviour;
 only the TIDE planner differs, so the gap is pure planning quality.
 
-Runs as a campaign (``repro.campaign.experiments:exp03_spec``): the grid
+Runs as the built-in ``exp03`` campaign (``repro.scenarios.trials``): the grid
 executes through the crash-isolated executor and the printed table is
 reassembled from per-trial metrics in the original sweep order.
 """
 
-from _common import bench_executor, emit, emit_json, mean_ratio, series_sidecar
+from _common import (
+    BENCH_CONFIG,
+    campaign_executor,
+    emit,
+    emit_json,
+    mean_ratio,
+    series_sidecar,
+)
 
 from repro.analysis.tables import series_table
 from repro.campaign import run_campaign
-from repro.campaign.experiments import (
-    BENCH_CONFIG,
+from repro.scenarios.trials import (
     EXP03_ATTACKERS,
     EXP03_NODE_COUNTS,
     EXP03_SEEDS,
-    exp03_spec,
+    resolve_spec,
 )
 
 NODE_COUNTS = EXP03_NODE_COUNTS
@@ -28,13 +34,13 @@ ATTACKERS = EXP03_ATTACKERS
 
 
 def run_experiment():
-    result = run_campaign(exp03_spec(), executor=bench_executor())
+    result = run_campaign(resolve_spec("exp03"), executor=campaign_executor())
     return {
         name: [
-            result.values("exhausted_key_ratio", node_count=n, attacker=name)
+            result.values("exhausted_key_ratio", node_count=n, controller=controller)
             for n in NODE_COUNTS
         ]
-        for name in ATTACKERS
+        for name, controller in ATTACKERS.items()
     }
 
 

@@ -5,39 +5,34 @@ spread the same charger budget and crowd the stealth windows, so the
 exhausted *ratio* degrades gracefully while the absolute kill count
 rises; CSA stays ahead of the window-blind greedy throughout.
 
-Runs as a campaign (``repro.campaign.experiments:exp04_spec``); the
+Runs as the built-in ``exp04`` campaign (``repro.scenarios.trials``); the
 printed table is reassembled from per-trial metrics in the original
 sweep order.
 """
 
-from _common import bench_executor, emit, emit_json, mean_ratio, series_sidecar
+from _common import campaign_executor, emit, emit_json, mean_ratio, series_sidecar
 
 from repro.analysis.tables import series_table
 from repro.campaign import run_campaign
-from repro.campaign.experiments import (
-    EXP04_KEY_COUNTS,
-    EXP04_SEEDS,
-    exp04_spec,
-)
+from repro.scenarios.trials import EXP04_ATTACKERS, EXP04_KEY_COUNTS, resolve_spec
 
 KEY_COUNTS = EXP04_KEY_COUNTS
-SEEDS = EXP04_SEEDS
+CSA = EXP04_ATTACKERS["CSA"]
+GREEDY = EXP04_ATTACKERS["Greedy-Weight"]
 
 
 def run_experiment():
-    result = run_campaign(exp04_spec(), executor=bench_executor())
+    result = run_campaign(resolve_spec("exp04"), executor=campaign_executor())
     csa_cells = [
-        result.values("exhausted_key_ratio", key_count=k, attacker="CSA")
+        result.values("exhausted_key_ratio", key_count=k, controller=CSA)
         for k in KEY_COUNTS
     ]
     greedy_cells = [
-        result.values(
-            "exhausted_key_ratio", key_count=k, attacker="Greedy-Weight"
-        )
+        result.values("exhausted_key_ratio", key_count=k, controller=GREEDY)
         for k in KEY_COUNTS
     ]
     kill_cells = [
-        result.values("exhausted_key_count", key_count=k, attacker="CSA")
+        result.values("exhausted_key_count", key_count=k, controller=CSA)
         for k in KEY_COUNTS
     ]
     return csa_cells, greedy_cells, kill_cells

@@ -7,20 +7,20 @@ with the stealth windows stripped, and the blatant pretender.  The
 paper-shaped result: CSA's curve hugs zero while both ablations are
 caught at every realistic audit intensity.
 
-Runs as a campaign (``repro.campaign.experiments:exp07_spec``); the
+Runs as the built-in ``exp07`` campaign (``repro.scenarios.trials``); the
 printed table is reassembled from per-trial metrics in the original
 sweep order.
 """
 
-from _common import bench_executor, emit, emit_json, series_sidecar
+from _common import campaign_executor, emit, emit_json, series_sidecar
 
 from repro.analysis.tables import series_table
 from repro.campaign import run_campaign
-from repro.campaign.experiments import (
+from repro.scenarios.trials import (
     EXP07_ATTACKERS,
     EXP07_AUDIT_INTERVALS_H,
     EXP07_SEEDS,
-    exp07_spec,
+    resolve_spec,
 )
 
 AUDIT_INTERVALS_H = EXP07_AUDIT_INTERVALS_H
@@ -29,22 +29,20 @@ ATTACKERS = EXP07_ATTACKERS
 
 
 def run_experiment():
-    result = run_campaign(exp07_spec(), executor=bench_executor())
-    detect_cells = {
-        name: [
-            result.values("detected", audit_interval_h=h, attacker=name)
+    result = run_campaign(resolve_spec("exp07"), executor=campaign_executor())
+
+    def cells(metric, controller):
+        return [
+            result.values(metric, audit_interval_s=h * 3600.0, controller=controller)
             for h in AUDIT_INTERVALS_H
         ]
-        for name in ATTACKERS
+
+    detect_cells = {
+        name: cells("detected", controller) for name, controller in ATTACKERS.items()
     }
     exhaust_cells = {
-        name: [
-            result.values(
-                "exhausted_key_ratio", audit_interval_h=h, attacker=name
-            )
-            for h in AUDIT_INTERVALS_H
-        ]
-        for name in ATTACKERS
+        name: cells("exhausted_key_ratio", controller)
+        for name, controller in ATTACKERS.items()
     }
     return detect_cells, exhaust_cells
 

@@ -22,7 +22,7 @@ and seed count (the gates still hold there).
 import dataclasses
 import os
 
-from _common import bench_executor, emit, emit_json
+from _common import campaign_executor, emit, emit_json
 
 from repro.analysis.tables import series_table
 from repro.campaign import run_campaign
@@ -42,7 +42,7 @@ BENIGN_SCENARIOS = ("benign", "benign-on-demand")
 
 def run_experiment():
     spec = scenario_matrix_spec(SCENARIOS, seeds=SEEDS, **SCALE)
-    result = run_campaign(spec, executor=bench_executor())
+    result = run_campaign(spec, executor=campaign_executor())
     rows = {}
     for name in SCENARIOS:
         horizon = result.values("horizon_s", scenario=name)[0]

@@ -9,37 +9,35 @@ the stealth window opens.  Even so, while it camps at one victim the
 honest fleet rescues others: fleet redundancy passively blunts the
 attack with no detector involved.
 
-Runs as a campaign (``repro.campaign.experiments:ext04_spec``); the
+Runs as the built-in ``ext04`` campaign (``repro.scenarios.trials``): the
+honest co-chargers are ``ScenarioConfig.honest_charger_count``, and the
 printed table is reassembled from per-trial metrics in the original
 sweep order.
 """
 
-from _common import bench_executor, emit, emit_json, series_sidecar
+from _common import campaign_executor, emit, emit_json, series_sidecar
 
 from repro.analysis.tables import series_table
 from repro.campaign import run_campaign
-from repro.campaign.experiments import (
-    EXT04_HONEST_COUNTS,
-    EXT04_SEEDS,
-    ext04_spec,
-)
+from repro.scenarios.trials import EXT04_HONEST_COUNTS, EXT04_SEEDS, resolve_spec
 
 HONEST_COUNTS = EXT04_HONEST_COUNTS
 SEEDS = EXT04_SEEDS
 
 
 def run_experiment():
-    result = run_campaign(ext04_spec(), executor=bench_executor())
+    result = run_campaign(resolve_spec("ext04"), executor=campaign_executor())
     exhaust_cells = [
-        result.values("exhausted_key_ratio", honest_count=h)
+        result.values("exhausted_key_ratio", honest_charger_count=h)
         for h in HONEST_COUNTS
     ]
     detect_cells = [
-        [float(v) for v in result.values("detected", honest_count=h)]
+        [float(v) for v in result.values("detected", honest_charger_count=h)]
         for h in HONEST_COUNTS
     ]
     spoof_cells = [
-        result.values("spoof_services", honest_count=h) for h in HONEST_COUNTS
+        result.values("spoof_services", honest_charger_count=h)
+        for h in HONEST_COUNTS
     ]
     return exhaust_cells, detect_cells, spoof_cells
 

@@ -12,7 +12,7 @@ The subsystem splits into four layers:
 * :mod:`repro.campaign.runner` / :mod:`repro.campaign.telemetry` — the
   orchestration entry point and its counters/progress reporting.
 
-:mod:`repro.campaign.experiments` defines the built-in campaigns behind
+:mod:`repro.scenarios.trials` defines the built-in campaigns behind
 ``python -m repro campaign`` and the migrated benchmark scripts.  See
 ``docs/campaigns.md`` for the full story.
 """

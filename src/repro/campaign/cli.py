@@ -110,10 +110,10 @@ def run_campaign_command(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.campaign.executor import ParallelExecutor, SerialExecutor
-    from repro.campaign.experiments import resolve_spec
     from repro.campaign.runner import run_campaign
     from repro.campaign.store import CampaignStore
     from repro.campaign.telemetry import ProgressReporter
+    from repro.scenarios.trials import resolve_spec
 
     spec = resolve_spec(args.name)
     if args.limit is not None:
@@ -197,7 +197,7 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
-    from repro.campaign.experiments import BUILTIN_CAMPAIGNS
+    from repro.scenarios.trials import BUILTIN_CAMPAIGNS
 
     rows = []
     for name in sorted(BUILTIN_CAMPAIGNS):

@@ -10,8 +10,8 @@ controller and sweepable through the campaign machinery unchanged:
   scenarios (baseline CSA, intermittent spoofing, control-channel
   command spoofing, probabilistic on-demand arrivals).
 * :mod:`repro.scenarios.trials` — the campaign trial kernel
-  (``repro.scenarios.trials:scenario_trial``) and the EXP-13 scenario ×
-  seed campaign builder.
+  (``repro.scenarios.trials:scenario_trial``) and the built-in campaigns
+  it runs (the paper sweeps and the EXP-13 scenario × seed matrix).
 
 >>> from repro.scenarios import get_scenario
 >>> spec = get_scenario("csa-baseline")

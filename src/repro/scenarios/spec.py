@@ -56,6 +56,28 @@ def _make_command_spoof(key_count: int, seed: int, params: Mapping[str, Any]) ->
     return CommandSpoofAttacker(key_count=key_count, **params)
 
 
+def _make_planned(baseline: str | None = None, no_windows: bool = False) -> Callable[..., Any]:
+    """A :class:`PlannedAttacker` factory around a ``core.baselines`` planner.
+
+    ``baseline=None`` keeps the CSA planner; ``no_windows`` strips the
+    stealth windows.  A seeded planner keeps its default seed (0), so
+    its own stream does not vary with the trial seed.
+    """
+
+    def make(key_count: int, seed: int, params: Mapping[str, Any]) -> Any:
+        from repro.attack.attacker import PlannedAttacker
+        from repro.core import baselines
+        from repro.core.windows import StealthPolicy
+
+        return PlannedAttacker(
+            planner=getattr(baselines, baseline)() if baseline else None,
+            stealth=StealthPolicy.none() if no_windows else None,
+            key_count=key_count, seed=seed, **params,
+        )
+
+    return make
+
+
 #: Controller factories by catalogue name.  Each factory receives the
 #: resolved config's ``key_count``, the trial seed, and the spec's
 #: ``attacker_params``, and returns a fresh single-use controller.
@@ -66,6 +88,12 @@ CONTROLLER_CATALOGUE: dict[
     "csa": _make_csa,
     "blatant": _make_blatant,
     "command-spoof": _make_command_spoof,
+    # The paper's comparison attackers: CSA's stealth envelope and cover
+    # traffic around a baseline TIDE planner, or CSA without windows.
+    "csa-no-windows": _make_planned(no_windows=True),
+    "greedy-weight": _make_planned("GreedyWeightPlanner"),
+    "nearest-first": _make_planned("NearestFirstPlanner"),
+    "random": _make_planned("RandomPlanner"),
 }
 
 

@@ -176,8 +176,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.campaign.experiments import resolve_spec
     from repro.campaign.telemetry import ProgressReporter
+    from repro.scenarios.trials import resolve_spec
     from repro.service.client import ServiceClient
 
     spec = resolve_spec(args.name)

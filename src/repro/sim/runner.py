@@ -13,6 +13,7 @@ from typing import Sequence
 from repro.attack.attacker import CsaAttacker
 from repro.detection.auditors import default_detector_suite
 from repro.sim.actions import MissionController
+from repro.sim.benign import BenignController
 from repro.sim.hooks import SimulationHook
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.wrsn_sim import SimulationResult, WrsnSimulation
@@ -37,7 +38,9 @@ def run_attack(
     cfg:
         Scenario parameters; network and charger are built fresh.  When
         ``cfg.request_delay_mean_s > 0`` the corresponding probabilistic
-        arrival model is built and wired in automatically.
+        arrival model is built and wired in automatically.  Likewise
+        ``cfg.honest_charger_count`` honest chargers, each with a fresh
+        :class:`~repro.sim.benign.BenignController`, join the fleet.
     seed:
         Topology/traffic/detector randomness.
     controller:
@@ -85,5 +88,9 @@ def run_attack(
         hooks=all_hooks,
         arrival_model=cfg.build_arrival_model(seed),
         stop_on_detection=stop_on_detection,
+        extra_units=[
+            (cfg.build_charger(), BenignController())
+            for _ in range(cfg.honest_charger_count)
+        ],
     )
     return sim.run()

@@ -21,7 +21,7 @@ from repro.sim.arrivals import ArrivalModel, ExponentialArrivals
 from repro.utils.geometry import Point
 from repro.utils.rng import RngFactory
 
-__all__ = ["ScenarioConfig"]
+__all__ = ["BENCH_CONFIG", "ScenarioConfig"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,9 @@ class ScenarioConfig:
     mc_speed_m_s: float = 5.0
     mc_travel_cost_j_per_m: float = 50.0
     mc_depot_recharge_s: float = 1_800.0
+    # Honest NJNP chargers sharing the field with the first charger
+    # (EXT-04's fleet); 0 keeps the single-charger network.
+    honest_charger_count: int = 0
 
     # Attack / experiment
     key_count: int = 15
@@ -63,6 +66,13 @@ class ScenarioConfig:
     # request threshold and the base station receiving the request.
     # 0.0 (the seed default) keeps arrivals instantaneous/deterministic.
     request_delay_mean_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.honest_charger_count < 0:
+            raise ValueError(
+                "honest_charger_count must be >= 0, "
+                f"got {self.honest_charger_count}"
+            )
 
     def with_(self, **changes) -> "ScenarioConfig":
         """A copy of this config with the given fields replaced."""
@@ -163,3 +173,7 @@ class ScenarioConfig:
             ("Key nodes targeted", str(self.key_count)),
             ("Simulation horizon", f"{self.horizon_days:.0f} days"),
         )
+
+
+BENCH_CONFIG = ScenarioConfig(node_count=100, key_count=10, horizon_days=42)
+"""The benchmark suite's default scenario (overridden per experiment)."""
