@@ -41,10 +41,10 @@ helper still carries its aliasing into the caller.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from repro.lint.callgraph import CallGraph, FunctionInfo
+from repro.lint.callgraph import CallGraph, FunctionInfo, _keyword
 from repro.lint.cfg import build_cfg
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -1059,13 +1059,6 @@ class _Interp:
         dim = self._dim_from_expr(expr)
         return (dim,) if dim is not None else None
 
-    @staticmethod
-    def _keyword(call: ast.Call, name: str) -> ast.expr | None:
-        for kw in call.keywords:
-            if kw.arg == name:
-                return kw.value
-        return None
-
     def _alloc_value(
         self, call: ast.Call, dtype: str | None, shape: tuple | None,
         expanded: bool = False,
@@ -1134,7 +1127,7 @@ class _Interp:
         self, call: ast.Call, resolved: str, env: Env
     ) -> ArrayValue | None:
         name = resolved[len("numpy."):].rsplit(".", 1)[-1]
-        dtype_kw = self._dtype_from_expr(self._keyword(call, "dtype"))
+        dtype_kw = self._dtype_from_expr(_keyword(call, "dtype"))
         args = call.args
 
         if name in ("zeros", "ones", "empty"):
@@ -1215,7 +1208,7 @@ class _Interp:
             value = self._binop_value(call, op, left, right)
             if name in _FRESH_FLOAT_FUNCS:
                 value = replace(value, dtype=promote(value.dtype, "pyfloat"))
-            out = self._keyword(call, "out")
+            out = _keyword(call, "out")
             if out is not None:
                 self._check_mutation(out, env, "ufunc out= write")
                 out_value = self._eval(out, env)
@@ -1409,7 +1402,7 @@ class _Interp:
         self, call: ast.Call, name: str, operand_expr: ast.expr, env: Env
     ) -> ArrayValue:
         operand = self._eval(operand_expr, env)
-        axis_expr = self._keyword(call, "axis")
+        axis_expr = _keyword(call, "axis")
         if axis_expr is None and call.args:
             # ``np.min(x, 0)`` carries the axis in args[1]; the method
             # form ``x.min(0)`` carries it in args[0].
@@ -1423,7 +1416,7 @@ class _Interp:
             and isinstance(axis_expr.value, int)
             else None
         )
-        keepdims_expr = self._keyword(call, "keepdims")
+        keepdims_expr = _keyword(call, "keepdims")
         keepdims = (
             isinstance(keepdims_expr, ast.Constant)
             and keepdims_expr.value is True

@@ -1,12 +1,12 @@
 """Project-wide call graph and execution-context (thread) reachability.
 
 Builds on the :class:`~repro.lint.project.ProjectModel`: every function
-(including nested defs and methods, which the per-module ``functions``
-index omits) becomes a node keyed ``"<module>:<qualname>"``, call edges
-are resolved through the same import-alias machinery the per-file rules
-use (plus ``self.method()`` dispatch and local ``f = target`` aliases),
-and *entry points* are discovered from the concurrency APIs the codebase
-actually uses:
+(including nested defs and methods) becomes a node keyed
+``"<module>:<qualname>"``, call edges are resolved through the same
+import-alias machinery the per-file rules use (plus same-module names,
+nested defs, ``self.method()`` dispatch, class constructors and local
+``f = target`` aliases), and *entry points* are discovered from the
+concurrency APIs the codebase actually uses:
 
 * ``threading.Thread(target=...)`` / ``threading.Timer(..., fn)``
 * ``signal.signal(signum, handler)``
@@ -101,6 +101,8 @@ class FunctionInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     #: Qualname of the innermost enclosing class when this is a method.
     class_qual: str | None = None
+    #: ``f = <function reference>`` bindings of this scope (name -> key).
+    aliases: dict[str, str] | None = field(default=None, repr=False)
     _scope: list[ast.AST] | None = field(default=None, repr=False)
 
     @property
@@ -176,8 +178,10 @@ class CallGraph:
         self.callers: dict[str, set[str]] = {}
         self.entries: list[EntryPoint] = []
         self.contexts: dict[str, frozenset[str]] = {}
-        #: id(function node) -> key, for rules holding an AST node.
-        self._by_node: dict[int, str] = {}
+        #: Module name -> every def in it, shadowed redefinitions included.
+        self._defs: dict[str, list[FunctionInfo]] = {}
+        #: Module name -> (top-level scope nodes, its local aliases).
+        self._module_scopes: dict[str, tuple[list[ast.AST], dict[str, str]]] = {}
         self._handler_memo: dict[str, bool] = {}
         for record in project:
             self._index_record(record)
@@ -204,10 +208,6 @@ class CallGraph:
         """Pseudo-function key for a module's top-level code."""
         return f"{record.name}:<module>"
 
-    def function_key(self, node: ast.AST) -> str | None:
-        """Graph key of a function definition node, if indexed."""
-        return self._by_node.get(id(node))
-
     def _index_record(self, record: ModuleRecord) -> None:
         self._collect_defs(record, record.tree.body, "", None)
 
@@ -229,8 +229,10 @@ class CallGraph:
                     node=stmt,
                     class_qual=class_qual,
                 )
+                # A redefinition (e.g. one def per if/else branch) shares
+                # the first def's key; its body still gets its own scope.
                 self.functions.setdefault(key, info)
-                self._by_node[id(stmt)] = key
+                self._defs.setdefault(record.name, []).append(info)
                 if class_qual is not None:
                     cls_key = f"{record.name}:{class_qual}"
                     self.classes[cls_key].methods.setdefault(stmt.name, key)
@@ -256,9 +258,12 @@ class CallGraph:
                 self._collect_defs(record, stmt.body, f"{qual}.", qual)
             else:
                 for suite in ast.iter_child_nodes(stmt):
-                    # Defs nested in if/try/with at the same level keep
-                    # the enclosing prefix (conditional definitions).
-                    if isinstance(suite, ast.stmt):
+                    # Defs nested in if/try/except/with/match at the same
+                    # level keep the enclosing prefix (conditional
+                    # definitions).
+                    if isinstance(
+                        suite, (ast.stmt, ast.excepthandler, ast.match_case)
+                    ):
                         self._collect_defs(
                             record, [suite], prefix, class_qual
                         )
@@ -330,6 +335,18 @@ class CallGraph:
             return self.functions.get(ctor) if ctor else None
         return None
 
+    def resolve_in(
+        self, expr: ast.AST, record: ModuleRecord, info: FunctionInfo | None
+    ) -> FunctionInfo | None:
+        """:meth:`resolve_callable` as written in one scope of ``record``:
+        the body of ``info``, or the module top level when ``None``."""
+        if info is None:
+            aliases = self._module_scopes[record.name][1]
+            return self.resolve_callable(expr, record, None, aliases)
+        return self.resolve_callable(
+            expr, record, info.class_qual, info.aliases, info.qualname
+        )
+
     def resolve_class(
         self, expr: ast.AST, record: ModuleRecord
     ) -> ClassInfo | None:
@@ -385,18 +402,16 @@ class CallGraph:
     # Edge + entry construction
     # ------------------------------------------------------------------
     def _build_module(self, record: ModuleRecord) -> None:
-        module_key = self.module_key(record)
-        self.edges.setdefault(module_key, set())
-        self._build_scope(
-            module_key, record, list(_walk_scope(record.tree.body)), None, None
+        nodes = list(_walk_scope(record.tree.body))
+        aliases = self._build_scope(
+            self.module_key(record), record, nodes, None, None
         )
-        for key, info in list(self.functions.items()):
-            if info.record is not record:
-                continue
-            self.edges.setdefault(key, set())
-            self._build_scope(
-                key, record, info.scope_nodes, info.class_qual, info.qualname
-            )
+        self._module_scopes[record.name] = (nodes, aliases)
+        for info in self._defs.get(record.name, ()):
+            info.aliases = self._build_scope(
+                info.key, record, info.scope_nodes, info.class_qual,
+                info.qualname,
+            ) or None
         for cls_key, cls in self.classes.items():
             if cls.record is not record:
                 continue
@@ -418,7 +433,8 @@ class CallGraph:
         nodes: list[ast.AST],
         class_qual: str | None,
         prefix: str | None,
-    ) -> None:
+    ) -> dict[str, str]:
+        """Add the scope's call edges and entries; return its aliases."""
         aliases = self._local_aliases(record, nodes, class_qual, prefix)
         pools = self._pool_bindings(record, nodes)
         out = self.edges.setdefault(caller, set())
@@ -482,6 +498,7 @@ class CallGraph:
                     node.func, record, class_qual, aliases, prefix
                 )
             )
+        return aliases
 
     def _local_aliases(
         self,
@@ -571,6 +588,16 @@ class CallGraph:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def scopes(
+        self, record: ModuleRecord
+    ) -> Iterator[tuple[FunctionInfo | None, list[ast.AST]]]:
+        """Every lexical scope of ``record`` with its nodes: the module top
+        level (``None``), then each def body in source order, shadowed
+        redefinitions included."""
+        yield None, self._module_scopes[record.name][0]
+        for info in self._defs.get(record.name, ()):
+            yield info, info.scope_nodes
+
     def contexts_of(self, key: str) -> frozenset[str]:
         """Context labels under which ``key`` may execute."""
         return self.contexts.get(key, frozenset())
@@ -588,7 +615,7 @@ class CallGraph:
         return seen
 
 
-def _keyword(call: ast.Call, name: str) -> ast.AST | None:
+def _keyword(call: ast.Call, name: str) -> ast.expr | None:
     for kw in call.keywords:
         if kw.arg == name:
             return kw.value

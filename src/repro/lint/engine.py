@@ -130,8 +130,6 @@ class ModuleContext:
         #: ``from numpy.random import default_rng as mk`` ->
         #: {"mk": ("numpy.random", "default_rng")}
         self.imported_names: dict[str, tuple[str, str]] = {}
-        #: Enclosing FunctionDef/AsyncFunctionDef/ClassDef/Lambda nodes.
-        self.scope_stack: list[ast.AST] = []
 
     # ------------------------------------------------------------------
     # Path classification
@@ -198,20 +196,6 @@ class ModuleContext:
             parts[0:1] = [module, original]
         return ".".join(parts)
 
-    # ------------------------------------------------------------------
-    # Scope helpers
-    # ------------------------------------------------------------------
-    @property
-    def enclosing_function(self) -> ast.AST | None:
-        """Innermost enclosing function/lambda node, if any."""
-        for frame in reversed(self.scope_stack):
-            if isinstance(frame, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                return frame
-        return None
-
-
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-
 
 class _Dispatcher(ast.NodeVisitor):
     """Single-pass visitor feeding each node to the subscribed rules."""
@@ -239,14 +223,7 @@ class _Dispatcher(ast.NodeVisitor):
             self.timings[rule.rule_id] = (
                 self.timings.get(rule.rule_id, 0.0) + perf_counter() - start
             )
-        if isinstance(node, _SCOPE_NODES):
-            self.ctx.scope_stack.append(node)
-            try:
-                self.generic_visit(node)
-            finally:
-                self.ctx.scope_stack.pop()
-        else:
-            self.generic_visit(node)
+        self.generic_visit(node)
 
 
 def resolve_lint_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -326,11 +303,6 @@ class LintEngine:
     def rule_classes(self) -> tuple[type[Rule], ...]:
         """The per-file rule classes this engine runs."""
         return self._rule_classes
-
-    @property
-    def project_rule_classes(self) -> tuple[type[ProjectRule], ...]:
-        """The whole-project rule classes this engine runs."""
-        return self._project_rule_classes
 
     # ------------------------------------------------------------------
     # Per-file pass
@@ -513,11 +485,6 @@ class LintEngine:
                 cache.put_project(items, project_findings)
         findings.extend(project_findings)
         return sort_findings(findings)
-
-    def lint_file(self, path: str | Path) -> list[Finding]:
-        """Lint one file on disk."""
-        text = Path(path).read_text(encoding="utf-8")
-        return self.lint_source(text, str(path))
 
     def lint_files(
         self,

@@ -6,12 +6,20 @@ call boundary, a dBm value returned from one module and summed as watts
 in another, an export that no other module consumes, or an import cycle —
 none of which a per-file AST walk can detect.
 
-The passes are deliberately flow-*insensitive* inside a scope (names are
-classified by every binding they receive, with conflicts resolving to
-"unknown") and inter-procedural only through statically resolvable dotted
-names: the same ``resolve_call_name`` machinery the per-file rules use.
-That keeps them fast, deterministic, and free of false positives from
-dynamic dispatch, at the cost of missing aliased flows.
+The dataflow passes (RL-D005/D006, RL-P004) run on the project's
+:class:`~repro.lint.callgraph.CallGraph`, the one the RL-C and RL-N packs
+use: they walk its scopes (the module top level and every def body,
+redefinitions included) and resolve calls the way its edges do
+(imports, same-module helpers, nested defs, ``self.`` methods, class
+constructors, local ``f = target`` aliases).  Inside a scope they are
+flow-*insensitive*: a name is classified by every binding it receives,
+iterated until nothing changes on the monotone lattice
+none < db | watt < conflict, where a conflict reads as unknown.  Return
+units reach callers through a worklist over ``CallGraph.callers``, so
+call chains of any depth are followed and the result does not depend on
+the order modules or statements are visited.  A call the graph cannot
+resolve (dynamic dispatch) carries no facts, so aliased flows are missed
+rather than guessed.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import ast
 import re
 from typing import Iterator
 
+from repro.lint.callgraph import CallGraph, FunctionInfo
 from repro.lint.project import ModuleRecord, ProjectModel
 from repro.lint.registry import ProjectRule, register_project
 from repro.lint.rules.physics import _DB_NAME, _WATT_NAME, _unit_classes
@@ -36,49 +45,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Scope utilities shared by the dataflow passes
 # ----------------------------------------------------------------------
-_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-
-def _walk_scope(stmts: list[ast.stmt]) -> Iterator[ast.AST]:
-    """All nodes of one lexical scope, not descending into nested defs."""
-    stack: list[ast.AST] = list(stmts)
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, _FUNCTION_NODES):
-                continue
-            stack.append(child)
-
-
-def _scopes(
-    record: ModuleRecord,
-) -> list[tuple[ast.FunctionDef | ast.AsyncFunctionDef | None, list[ast.AST]]]:
-    """``(function_or_None, scope_nodes)`` for the module and every def.
-
-    Every flow pass iterates the same scopes, so the walk is done once
-    per record and memoised on it; the node lists are shared read-only.
-    """
-    cached = getattr(record, "_flow_scopes", None)
-    if cached is None:
-        cached = [(None, list(_walk_scope(record.tree.body)))]
-        for node in ast.walk(record.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                cached.append((node, list(_walk_scope(node.body))))
-        record._flow_scopes = cached
-        record._flow_scope_index = {id(fn): nodes for fn, nodes in cached}
-    return cached
-
-
-def _scope_nodes(
-    record: ModuleRecord,
-    fn: ast.FunctionDef | ast.AsyncFunctionDef | None,
-) -> list[ast.AST]:
-    """The memoised node list for one scope of ``record``."""
-    _scopes(record)
-    return record._flow_scope_index[id(fn)]
-
-
 def _assigned_names(stmt: ast.AST) -> list[str]:
     targets: list[ast.expr] = []
     if isinstance(stmt, ast.Assign):
@@ -90,6 +56,32 @@ def _assigned_names(stmt: ast.AST) -> list[str]:
         if isinstance(target, ast.Name):
             names.append(target.id)
     return names
+
+
+def _checked_scopes(
+    graph: CallGraph,
+) -> Iterator[tuple[ModuleRecord, FunctionInfo | None, list[ast.AST]]]:
+    """Every scope of every non-test module, as ``(record, def, nodes)``."""
+    for record in graph.project:
+        if not record.is_test_code:
+            for scope, nodes in graph.scopes(record):
+                yield record, scope, nodes
+
+
+def _bindings(nodes: list[ast.AST]) -> list[ast.Assign | ast.AnnAssign]:
+    """A scope's valued assignments to plain names, in source order.
+
+    The order only saves sweeps: the bindings are iterated to a fixpoint.
+    """
+    found = [
+        node
+        for node in nodes
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None
+        and _assigned_names(node)
+    ]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return found
 
 
 def _callee_tail(call: ast.Call, record: ModuleRecord) -> str:
@@ -104,15 +96,27 @@ def _callee_tail(call: ast.Call, record: ModuleRecord) -> str:
     return ""
 
 
-def _cross_module_target(
-    call: ast.Call, record: ModuleRecord, project: ProjectModel
-) -> tuple[str, ModuleRecord] | None:
-    """Resolve a call to a *different* project module, if statically possible."""
-    resolved = record.ctx.resolve_call_name(call.func)
-    owner = project.module_of(resolved)
-    if owner is None or owner.name == record.name or resolved is None:
+def _foreign_callee(
+    graph: CallGraph,
+    record: ModuleRecord,
+    scope: FunctionInfo | None,
+    call: ast.Call,
+) -> str | None:
+    """Dotted name of the callee when it lives in another project module.
+
+    A call the graph resolves lands in its def's module; any other call
+    (a class without ``__init__``, a module attribute) in the project
+    module owning its import-resolved dotted name.
+    """
+    dotted = record.ctx.resolve_call_name(call.func)
+    owner = graph.project.module_of(dotted)
+    target = graph.resolve_in(call.func, record, scope)
+    if target is not None and target.record is not owner:
+        owner = target.record
+        dotted = f"{owner.name}.{target.qualname}"
+    if owner is None or owner is record:
         return None
-    return resolved, owner
+    return dotted
 
 
 # ----------------------------------------------------------------------
@@ -136,14 +140,16 @@ class RawGeneratorCrossesModules(ProjectRule):
     def check_project(
         self, project: ProjectModel
     ) -> Iterator[tuple[str, ast.AST | int | None, str]]:
-        for record in project:
-            if record.is_test_code:
-                continue
-            for _fn, nodes in _scopes(record):
-                yield from self._check_scope(record, project, nodes)
+        graph = CallGraph.of(project)
+        for record, scope, nodes in _checked_scopes(graph):
+            yield from self._check_scope(graph, record, scope, nodes)
 
     def _check_scope(
-        self, record: ModuleRecord, project: ProjectModel, nodes: list[ast.AST]
+        self,
+        graph: CallGraph,
+        record: ModuleRecord,
+        scope: FunctionInfo | None,
+        nodes: list[ast.AST],
     ) -> Iterator[tuple[str, ast.AST | int | None, str]]:
         raw: set[str] = set()
         sanctioned: set[str] = set()
@@ -164,21 +170,26 @@ class RawGeneratorCrossesModules(ProjectRule):
         for node in nodes:
             if not isinstance(node, ast.Call):
                 continue
-            target = _cross_module_target(node, record, project)
-            if target is None:
-                continue
-            resolved, _owner = target
             values = [*node.args, *(kw.value for kw in node.keywords)]
-            for value in values:
-                if isinstance(value, ast.Name) and value.id in raw:
-                    yield (
-                        record.path,
-                        node,
-                        f"raw default_rng Generator `{value.id}` crosses the "
-                        f"module boundary into `{resolved}`; derive an "
-                        "independent named stream instead "
-                        "(repro.utils.rng.coerce_rng / RngFactory.stream)",
-                    )
+            crossing = [
+                value.id
+                for value in values
+                if isinstance(value, ast.Name) and value.id in raw
+            ]
+            if not crossing:
+                continue
+            callee = _foreign_callee(graph, record, scope, node)
+            if callee is None:
+                continue
+            for name in crossing:
+                yield (
+                    record.path,
+                    node,
+                    f"raw default_rng Generator `{name}` crosses the "
+                    f"module boundary into `{callee}`; derive an "
+                    "independent named stream instead "
+                    "(repro.utils.rng.coerce_rng / RngFactory.stream)",
+                )
 
 
 # ----------------------------------------------------------------------
@@ -248,34 +259,40 @@ class ExternalSeedTaint(ProjectRule):
     def check_project(
         self, project: ProjectModel
     ) -> Iterator[tuple[str, ast.AST | int | None, str]]:
-        for record in project:
-            if record.is_test_code:
-                continue
-            for _fn, nodes in _scopes(record):
-                yield from self._check_scope(record, project, nodes)
+        graph = CallGraph.of(project)
+        for record, scope, nodes in _checked_scopes(graph):
+            yield from self._check_scope(graph, record, scope, nodes)
 
     def _check_scope(
-        self, record: ModuleRecord, project: ProjectModel, nodes: list[ast.AST]
+        self,
+        graph: CallGraph,
+        record: ModuleRecord,
+        scope: FunctionInfo | None,
+        nodes: list[ast.AST],
     ) -> Iterator[tuple[str, ast.AST | int | None, str]]:
+        bindings = _bindings(nodes)
         tainted: set[str] = set()
-        for _ in range(2):  # fixpoint over unordered flow-insensitive bindings
-            before = len(tainted)
-            for node in nodes:
-                if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
-                    if _is_tainted(node.value, tainted, record):
-                        tainted.update(_assigned_names(node))
-            if len(tainted) == before:
-                break
+        changed = True
+        while changed:  # the tainted set only grows, so this terminates
+            changed = False
+            for node in bindings:
+                names = _assigned_names(node)
+                if not tainted.issuperset(names) and _is_tainted(
+                    node.value, tainted, record
+                ):
+                    tainted.update(names)
+                    changed = True
         for node in nodes:
             if isinstance(node, ast.Call):
-                yield from self._check_call(record, project, node, tainted)
+                yield from self._check_call(graph, record, scope, node, tainted)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
                 yield from self._check_state_write(record, node, tainted)
 
     def _check_call(
         self,
+        graph: CallGraph,
         record: ModuleRecord,
-        project: ProjectModel,
+        scope: FunctionInfo | None,
         call: ast.Call,
         tainted: set[str],
     ) -> Iterator[tuple[str, ast.AST | int | None, str]]:
@@ -285,27 +302,21 @@ class ExternalSeedTaint(ProjectRule):
                 if _is_tainted(kw.value, tainted, record):
                     sink = f"{kw.arg}="
                     break
-        if sink is None:
-            resolved = record.ctx.resolve_call_name(call.func)
-            target = project.resolve_function(resolved)
-            if target is None and resolved is not None:
-                # A class call binds its __init__; resolve constructors too.
-                owner = project.resolve_symbol(resolved)
-                if owner is not None:
-                    rec, symbol = owner
-                    ctor = rec.functions.get(f"{symbol}.__init__")
-                    target = (rec, ctor) if ctor is not None else None
-            if target is not None:
-                _rec, fn = target
-                params = [a.arg for a in (*fn.args.posonlyargs, *fn.args.args)]
-                if params and params[0] in ("self", "cls"):
-                    params = params[1:]
-                for value, param in zip(call.args, params):
-                    if _SEED_NAME.search(param) and _is_tainted(
-                        value, tainted, record
-                    ):
-                        sink = f"parameter `{param}` of `{resolved}`"
-                        break
+        target = None
+        if sink is None and call.args:
+            target = graph.resolve_in(call.func, record, scope)
+        if target is not None:
+            args = target.node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args)]
+            if params and params[0] in ("self", "cls"):
+                params = params[1:]
+            for value, param in zip(call.args, params):
+                if _SEED_NAME.search(param) and _is_tainted(
+                    value, tainted, record
+                ):
+                    name = record.ctx.resolve_call_name(call.func)
+                    sink = f"parameter `{param}` of `{name}`"
+                    break
         if sink is not None:
             yield (
                 record.path,
@@ -359,118 +370,124 @@ def _suffix_unit(name: str) -> str | None:
 _CONFLICT = "conflict"
 
 
+def _join(a: str | None, b: str | None) -> str | None:
+    """Least upper bound on none < db | watt < conflict."""
+    if a is None or a == b:
+        return b
+    if b is None:
+        return a
+    return _CONFLICT
+
+
 class _UnitInference:
-    """Propagates dB/linear facts through assignments and call returns."""
+    """dB/linear facts of names and returns, at their least fixpoint.
 
-    def __init__(self, project: ProjectModel) -> None:
-        self.project = project
+    Every transfer function is monotone on the unit lattice (a mix or a
+    disagreement is a conflict, never a step back down), so the worklist
+    reaches the same fixpoint in any visiting order.
+    """
+
+    def __init__(self, graph: CallGraph) -> None:
+        self.graph = graph
         self.ret_units: dict[str, str] = {}
-        self._seed_return_units()
-        for _ in range(3):  # inter-procedural fixpoint (depth-3 call chains)
-            if not self._propagate_return_units():
-                break
-
-    # -- return units ---------------------------------------------------
-    def _function_items(self):
-        for record in self.project:
-            if record.is_test_code:
+        #: Key -> defs whose returns decide its unit (no name suffix).
+        inferred: dict[str, list[FunctionInfo]] = {}
+        for _record, scope, _nodes in _checked_scopes(graph):
+            if scope is None:
                 continue
-            for qual, fn in record.functions.items():
-                yield record, f"{record.name}.{qual}", fn
-
-    def _seed_return_units(self) -> None:
-        for _record, key, fn in self._function_items():
-            unit = _suffix_unit(fn.name)
+            unit = _suffix_unit(scope.name)
             if unit is not None:
-                self.ret_units[key] = unit
-
-    def _propagate_return_units(self) -> bool:
-        changed = False
-        for record, key, fn in self._function_items():
-            if _suffix_unit(fn.name) is not None:
-                continue  # the name suffix is authoritative
-            env = self.scope_env(record, fn)
-            units = set()
-            for node in _scope_nodes(record, fn):
-                if isinstance(node, ast.Return) and node.value is not None:
-                    units.add(self.unit_of(node.value, env, record))
-            units.discard(None)
-            if len(units) == 1:
-                unit = units.pop()
-                if unit in ("db", "watt") and self.ret_units.get(key) != unit:
-                    self.ret_units[key] = unit
-                    changed = True
-        return changed
+                self.ret_units[scope.key] = unit  # the suffix is authoritative
+            else:
+                inferred.setdefault(scope.key, []).append(scope)
+        worklist = sorted(inferred)
+        queued = set(worklist)
+        while worklist:
+            key = worklist.pop()
+            queued.discard(key)
+            unit = self.ret_units.get(key)
+            for scope in inferred[key]:
+                env = self.scope_env(scope.record, scope, scope.scope_nodes)
+                for node in scope.scope_nodes:
+                    if isinstance(node, ast.Return) and node.value is not None:
+                        unit = _join(
+                            unit, self.unit_of(node.value, env, scope.record, scope)
+                        )
+            if unit is None or unit == self.ret_units.get(key):
+                continue
+            self.ret_units[key] = unit
+            for caller in self.graph.callers.get(key, ()):
+                if caller in inferred and caller not in queued:
+                    queued.add(caller)
+                    worklist.append(caller)
 
     # -- environments ---------------------------------------------------
     def scope_env(
         self,
         record: ModuleRecord,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef | None,
+        scope: FunctionInfo | None,
+        nodes: list[ast.AST],
     ) -> dict[str, str]:
         env: dict[str, str] = {}
-        if fn is not None:
-            for arg in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs):
+        if scope is not None:
+            args = scope.node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
                 unit = _suffix_unit(arg.arg)
                 if unit is not None:
                     env[arg.arg] = unit
-        nodes = _scope_nodes(record, fn)
-        for _ in range(2):  # unordered bindings need one extra sweep
+        bindings = [
+            (node.value, names)
+            for node in _bindings(nodes)
+            # suffixed names classify themselves
+            if (names := [n for n in _assigned_names(node) if _suffix_unit(n) is None])
+        ]
+        changed = True
+        while changed:  # each name climbs the lattice at most twice
             changed = False
-            for node in nodes:
-                if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for value, names in bindings:
+                unit = self.unit_of(value, env, record, scope)
+                if unit is None:
                     continue
-                if node.value is None:
-                    continue
-                unit = self.unit_of(node.value, env, record)
-                for name in _assigned_names(node):
-                    if _suffix_unit(name) is not None:
-                        continue  # suffixed names classify themselves
-                    current = env.get(name)
-                    if current == _CONFLICT:
-                        continue
-                    if unit in ("db", "watt"):
-                        if current is None:
-                            env[name] = unit
-                            changed = True
-                        elif current != unit:
-                            env[name] = _CONFLICT
-                            changed = True
-            if not changed:
-                break
-        return {k: v for k, v in env.items() if v != _CONFLICT}
+                for name in names:
+                    joined = _join(env.get(name), unit)
+                    if joined != env.get(name):
+                        env[name] = joined
+                        changed = True
+        return env
 
     # -- expression units -----------------------------------------------
     def unit_of(
-        self, node: ast.AST, env: dict[str, str], record: ModuleRecord
+        self,
+        node: ast.AST,
+        env: dict[str, str],
+        record: ModuleRecord,
+        scope: FunctionInfo | None,
     ) -> str | None:
         if isinstance(node, ast.Name):
             return env.get(node.id) or _suffix_unit(node.id)
         if isinstance(node, ast.Attribute):
             return _suffix_unit(node.attr)
         if isinstance(node, ast.Call):
-            tail = _callee_tail(node, record)
-            unit = _suffix_unit(tail)
+            unit = _suffix_unit(_callee_tail(node, record))
             if unit is not None:
                 return unit
-            resolved = record.ctx.resolve_call_name(node.func)
-            if resolved is not None:
-                return self.ret_units.get(resolved)
-            return None
+            target = self.graph.resolve_in(node.func, record, scope)
+            return self.ret_units.get(target.key) if target is not None else None
         if isinstance(node, ast.BinOp):
             if not isinstance(node.op, (ast.Add, ast.Sub)):
                 return None  # units do not survive *, /, ** unchanged
-            left = self.unit_of(node.left, env, record)
-            right = self.unit_of(node.right, env, record)
-            if left and right and left != right:
-                return None  # the mix is reported at this BinOp itself
-            return left or right
+            return _join(
+                self.unit_of(node.left, env, record, scope),
+                self.unit_of(node.right, env, record, scope),
+            )
         if isinstance(node, ast.UnaryOp):
-            return self.unit_of(node.operand, env, record)
+            return self.unit_of(node.operand, env, record, scope)
         if isinstance(node, ast.IfExp):
-            left = self.unit_of(node.body, env, record)
-            right = self.unit_of(node.orelse, env, record)
-            return left if left == right else None
+            left = self.unit_of(node.body, env, record, scope)
+            right = self.unit_of(node.orelse, env, record, scope)
+            if left is None or right is None:
+                return None  # one unknown branch leaves the result unknown
+            return _join(left, right)
         return None
 
 
@@ -489,35 +506,33 @@ class CrossModuleUnitMix(ProjectRule):
     def check_project(
         self, project: ProjectModel
     ) -> Iterator[tuple[str, ast.AST | int | None, str]]:
-        inference = _UnitInference(project)
-        for record in project:
-            if record.is_test_code:
-                continue
-            for fn, nodes in _scopes(record):
-                env = inference.scope_env(record, fn)
-                for node in nodes:
-                    if not isinstance(node, ast.BinOp):
-                        continue
-                    if not isinstance(node.op, (ast.Add, ast.Sub)):
-                        continue
-                    left_s = _unit_classes(node.left)
-                    right_s = _unit_classes(node.right)
-                    if ("db" in left_s and "watt" in right_s) or (
-                        "watt" in left_s and "db" in right_s
-                    ):
-                        continue  # RL-P002 already reports suffix-level mixes
-                    left = inference.unit_of(node.left, env, record)
-                    right = inference.unit_of(node.right, env, record)
-                    if {left, right} == {"db", "watt"}:
-                        yield (
-                            record.path,
-                            node,
-                            f"arithmetic mixes dB-scaled and linear-power "
-                            f"quantities (left inferred {left!r}, right "
-                            f"inferred {right!r}) across assignments/call "
-                            "boundaries; convert to one unit system "
-                            "explicitly first",
-                        )
+        graph = CallGraph.of(project)
+        inference = _UnitInference(graph)
+        for record, scope, nodes in _checked_scopes(graph):
+            env = inference.scope_env(record, scope, nodes)
+            for node in nodes:
+                if not isinstance(node, ast.BinOp):
+                    continue
+                if not isinstance(node.op, (ast.Add, ast.Sub)):
+                    continue
+                left_s = _unit_classes(node.left)
+                right_s = _unit_classes(node.right)
+                if ("db" in left_s and "watt" in right_s) or (
+                    "watt" in left_s and "db" in right_s
+                ):
+                    continue  # RL-P002 already reports suffix-level mixes
+                left = inference.unit_of(node.left, env, record, scope)
+                right = inference.unit_of(node.right, env, record, scope)
+                if {left, right} == {"db", "watt"}:
+                    yield (
+                        record.path,
+                        node,
+                        f"arithmetic mixes dB-scaled and linear-power "
+                        f"quantities (left inferred {left!r}, right "
+                        f"inferred {right!r}) across assignments/call "
+                        "boundaries; convert to one unit system "
+                        "explicitly first",
+                    )
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 The per-file engine sees one module at a time, so any invariant spanning
 a call or import boundary is invisible to it.  This module builds the
-shared substrate the flow-analysis passes (:mod:`repro.lint.flow`) run
-on: one :class:`ModuleRecord` per parsed module (AST, import tables,
-top-level symbol table, ``__all__``, suppression map) and a
-:class:`ProjectModel` aggregating them into an import graph and a
-cross-module name-resolution service built on the same
-``resolve_call_name`` machinery the per-file rules use.
+shared substrate the project rules run on: one :class:`ModuleRecord` per
+parsed module (AST, import tables, top-level symbol table, ``__all__``,
+suppression map) and a :class:`ProjectModel` aggregating them into an
+import graph and a map from dotted names to their owning modules.
+Functions and calls are resolved by the call graph built on top of it
+(:class:`repro.lint.callgraph.CallGraph`).
 
 Module names are derived from paths: everything after the last ``src``
 path component (``src/repro/em/waves.py`` -> ``repro.em.waves``), falling
@@ -81,10 +81,6 @@ class ModuleRecord:
     dunder_all_node: ast.stmt | None = None
     #: Top-level imported dotted targets with their linenos, in order.
     top_imports: list[tuple[str, int]] = field(default_factory=list)
-    #: Local qualname (``func`` / ``Class.method``) -> function node.
-    functions: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = field(
-        default_factory=dict
-    )
 
     @property
     def is_test_code(self) -> bool:
@@ -106,7 +102,7 @@ class ModuleRecord:
 
 
 class ProjectModel:
-    """Import graph + symbol tables + call resolution over a module set."""
+    """Import graph + symbol tables + module ownership over a module set."""
 
     def __init__(self, records: Sequence[ModuleRecord]) -> None:
         self.modules: dict[str, ModuleRecord] = {}
@@ -143,7 +139,6 @@ class ProjectModel:
                 is_package=ctx.path.endswith("__init__.py"),
             )
             _index_top_level(record)
-            _index_functions(record)
             records.append(record)
         return cls(records)
 
@@ -167,30 +162,6 @@ class ProjectModel:
             if cut < 0:
                 return None
             name = name[:cut]
-
-    def resolve_symbol(
-        self, dotted: str | None
-    ) -> tuple[ModuleRecord, str] | None:
-        """Split a dotted name into (owning module, local symbol path)."""
-        record = self.module_of(dotted)
-        if record is None or dotted is None:
-            return None
-        if dotted == record.name:
-            return record, ""
-        return record, dotted[len(record.name) + 1 :]
-
-    def resolve_function(
-        self, dotted: str | None
-    ) -> tuple[ModuleRecord, ast.FunctionDef | ast.AsyncFunctionDef] | None:
-        """Resolve a dotted call target to a project function definition."""
-        resolved = self.resolve_symbol(dotted)
-        if resolved is None:
-            return None
-        record, symbol = resolved
-        node = record.functions.get(symbol)
-        if node is None:
-            return None
-        return record, node
 
     # ------------------------------------------------------------------
     # Import graph
@@ -378,16 +349,6 @@ def _extract_dunder_all(record: ModuleRecord) -> None:
     if node_found is not None and resolvable:
         record.dunder_all = entries
         record.dunder_all_node = node_found
-
-
-def _index_functions(record: ModuleRecord) -> None:
-    for stmt in record.tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            record.functions[stmt.name] = stmt
-        elif isinstance(stmt, ast.ClassDef):
-            for inner in stmt.body:
-                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    record.functions[f"{stmt.name}.{inner.name}"] = inner
 
 
 # ----------------------------------------------------------------------

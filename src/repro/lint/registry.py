@@ -44,7 +44,9 @@ __all__ = [
 #: entries written by an older rule set are never reused.
 #: 3: concurrency pack (RL-C001..C005) + ``ignore[...]`` suppressions.
 #: 4: array-semantics pack (RL-N001..N005).
-RULESET_VERSION = "4"
+#: 5: RL-D005/D006 and RL-P004 run on the call graph's scopes, call
+#:    resolution and worklist fixpoints.
+RULESET_VERSION = "5"
 
 _RULE_ID_PATTERN = re.compile(r"^RL-[A-Z]\d{3}$")
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.lint.arrays import _names_in
 from repro.lint.callgraph import (
     CallGraph,
     ClassInfo,
@@ -635,12 +636,6 @@ def _acquisition_desc(call: ast.Call, ctx: "ModuleContext") -> str | None:
             return None  # module-level open (gzip.open handled by name above)
         return ".open()"
     return None
-
-
-def _names_in(expr: ast.AST | None) -> set[str]:
-    if expr is None:
-        return set()
-    return {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
 
 
 def _kill(facts: set[str], name: str) -> None:

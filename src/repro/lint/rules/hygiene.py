@@ -13,6 +13,7 @@ import ast
 import builtins
 from typing import Iterator
 
+from repro.lint.callgraph import _FUNCTION_NODES
 from repro.lint.engine import ModuleContext
 from repro.lint.registry import Rule, register
 
@@ -29,9 +30,6 @@ _MUTABLE_CALLS = {"list", "dict", "set"}
 _BUILTIN_NAMES = frozenset(
     name for name in dir(builtins) if not name.startswith("_")
 )
-
-_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
 
 def _all_defaults(args: ast.arguments) -> list[ast.expr]:
     return [d for d in (*args.defaults, *args.kw_defaults) if d is not None]

@@ -6,6 +6,7 @@ and — per the issue checklist — a thread target passed by reference
 through a local alias rather than named inline.
 """
 
+import ast
 from textwrap import dedent
 
 from repro.lint.callgraph import CallGraph, conflict, conflicting_pair
@@ -303,6 +304,114 @@ class TestConflict:
         assert not conflicting_pair({"main", "signal:m:h"})
         assert not conflicting_pair({"main"})
         assert not conflicting_pair(set())
+
+
+class TestResolution:
+    """Function and call resolution, which every project rule shares."""
+
+    def _call(self, graph, module, qualname):
+        """The first call inside one def, with that def's FunctionInfo."""
+        info = graph.functions[f"{module}:{qualname}"]
+        record = graph.project.modules[module]
+        call = next(n for n in info.scope_nodes if isinstance(n, ast.Call))
+        return graph.resolve_in(call.func, record, info)
+
+    def test_resolution_crosses_modules(self):
+        graph = _graph(
+            ("src/repro/pkg/a.py", "def helper() -> int:\n    return 1\n"),
+            (
+                "src/repro/pkg/b.py",
+                """
+                from repro.pkg import a
+                from repro.pkg.a import helper
+
+                def direct():
+                    return helper()
+
+                def dotted():
+                    return a.helper()
+
+                def missing():
+                    return a.nope()
+                """,
+            ),
+        )
+        for caller in ("direct", "dotted"):
+            target = self._call(graph, "repro.pkg.b", caller)
+            assert target.key == "repro.pkg.a:helper"
+            assert target.record.name == "repro.pkg.a"
+            assert target.name == "helper"
+        assert self._call(graph, "repro.pkg.b", "missing") is None
+
+    def test_class_methods_are_indexed_by_qualname(self):
+        graph = _graph(
+            (
+                "src/repro/pkg/mod.py",
+                """
+                class C:
+                    def __init__(self):
+                        self.m()
+
+                    def m(self) -> int:
+                        return 1
+
+                def make():
+                    return C()
+                """,
+            )
+        )
+        assert graph.functions["repro.pkg.mod:C.m"].class_qual == "C"
+        assert self._call(graph, "repro.pkg.mod", "C.__init__").key == (
+            "repro.pkg.mod:C.m"
+        )
+        assert self._call(graph, "repro.pkg.mod", "make").key == (
+            "repro.pkg.mod:C.__init__"
+        )
+
+    def test_scopes_cover_every_def_body(self):
+        graph = _graph(
+            (
+                "src/repro/pkg/mod.py",
+                """
+                import sys
+
+                try:
+                    from fast import f
+                except ImportError:
+                    def f():
+                        return 1
+
+                if sys.platform == "win32":
+                    def g():
+                        return 2
+                else:
+                    def g():
+                        return 3
+
+                def outer():
+                    def inner():
+                        return 4
+                    return inner()
+                """,
+            )
+        )
+        record = graph.project.modules["repro.pkg.mod"]
+        scopes = list(graph.scopes(record))
+        assert scopes[0][0] is None
+        assert [info.qualname for info, _ in scopes[1:]] == [
+            "f", "g", "g", "outer", "outer.inner",
+        ]
+        # The top level does not descend into def bodies, and neither
+        # does a def's scope into its nested defs.
+        returns = [
+            [n.value.value for n in nodes if isinstance(n, ast.Return)
+             and isinstance(n.value, ast.Constant)]
+            for _info, nodes in scopes
+        ]
+        assert returns == [[], [1], [2], [3], [], [4]]
+        assert self._call(graph, "repro.pkg.mod", "outer").key == (
+            "repro.pkg.mod:outer.inner"
+        )
 
 
 class TestMemoisation:

@@ -63,6 +63,28 @@ class TestRawGeneratorCrossing:
         )
         assert _ids(lint_sources([main, _CONSUMER])) == ["RL-D005"]
 
+    def test_crossing_into_a_class_without_init_fires(self):
+        # A dataclass has no `__init__` def to resolve to; the module
+        # owning the class name is still another project module.
+        sim = (
+            "src/repro/pkg/sim.py",
+            "from dataclasses import dataclass\n"
+            "__all__ = ['Sim']\n\n\n"
+            "@dataclass\n"
+            "class Sim:\n"
+            "    rng: object\n",
+        )
+        main = (
+            "src/repro/pkg/main.py",
+            "import numpy as np\n"
+            "from repro.pkg.sim import Sim\n"
+            "__all__: list[str] = []\n"
+            "def run(seed: int) -> Sim:\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    return Sim(rng=rng)\n",
+        )
+        assert _ids(lint_sources([main, sim])) == ["RL-D005"]
+
     def test_scopes_do_not_leak_names_across_functions(self):
         # `rng` is raw in one function and sanctioned in another; the
         # sanctioned function's cross-module call must not be flagged.
@@ -308,3 +330,199 @@ class TestImportCycles:
             ),
         ]
         assert lint_sources(mods) == []
+
+
+def _by_rule(findings, rule_id):
+    return [(f.path, f.line) for f in findings if f.rule_id == rule_id]
+
+
+class TestScopesAndResolution:
+    """Flow rules walk one scope per def and resolve calls like RL-C."""
+
+    def test_parameter_passed_on_is_not_a_raw_generator(self):
+        # `rng` is raw only inside make(); run() forwards its own
+        # parameter, so module-level code must not merge the two scopes.
+        main = (
+            "src/repro/pkg/a.py",
+            "import numpy as np\n"
+            "import repro.pkg.b\n"
+            "__all__: list[str] = []\n"
+            "def make():\n"
+            "    rng = np.random.default_rng(0)\n"
+            "    return rng\n"
+            "def run(rng):\n"
+            "    return repro.pkg.b.consume(rng)\n",
+        )
+        consumer = (
+            "src/repro/pkg/b.py",
+            "__all__ = ['consume']\n\n\ndef consume(rng) -> float:\n"
+            "    return float(rng.standard_normal())\n",
+        )
+        assert _by_rule(lint_sources([main, consumer]), "RL-D005") == []
+
+    def test_source_order_taint_chain_reaches_the_sink(self):
+        mod = (
+            "src/repro/pkg/cfg.py",
+            "import os\n"
+            "from repro.utils.rng import make_rng\n"
+            "__all__: list[str] = []\n"
+            "def build():\n"
+            "    a = os.environ['SEED']\n"
+            "    b = a\n"
+            "    c = b\n"
+            "    return make_rng(seed=c)\n",
+        )
+        assert _by_rule(lint_sources([mod]), "RL-D006") == [
+            ("src/repro/pkg/cfg.py", 8)
+        ]
+
+    def test_source_order_unit_chain_is_followed(self):
+        conv = (
+            "src/repro/pkg/conv.py",
+            "__all__ = ['noise_floor_dbm']\n\n\n"
+            "def noise_floor_dbm(bandwidth_hz: float) -> float:\n"
+            "    return -174.0 + bandwidth_hz\n",
+        )
+        mod = (
+            "src/repro/pkg/link.py",
+            "from repro.pkg.conv import noise_floor_dbm\n"
+            "__all__: list[str] = []\n"
+            "def margin(tx_power_w: float) -> float:\n"
+            "    a = noise_floor_dbm(180.0)\n"
+            "    b = a\n"
+            "    c = b\n"
+            "    return tx_power_w - c\n",
+        )
+        assert _by_rule(lint_sources([mod, conv]), "RL-P004") == [
+            ("src/repro/pkg/link.py", 7)
+        ]
+
+    def test_same_module_helper_return_unit_is_inferred(self):
+        units = (
+            "src/repro/pkg/u.py",
+            "__all__ = ['tx_power_dbm']\n\n\n"
+            "def tx_power_dbm() -> float:\n    return 20.0\n",
+        )
+        mod = (
+            "src/repro/pkg/link.py",
+            "from repro.pkg.u import tx_power_dbm\n"
+            "__all__: list[str] = []\n"
+            "def helper() -> float:\n"
+            "    return tx_power_dbm()\n"
+            "def total(signal_w: float) -> float:\n"
+            "    return signal_w + helper()\n",
+        )
+        assert _by_rule(lint_sources([mod, units]), "RL-P004") == [
+            ("src/repro/pkg/link.py", 6)
+        ]
+
+    def test_every_body_of_a_redefined_function_is_checked(self):
+        main = (
+            "src/repro/pkg/main.py",
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.pkg.helper import consume\n"
+            "__all__: list[str] = []\n"
+            "if sys.platform == 'win32':\n"
+            "    def f(seed: int) -> float:\n"
+            "        return 0.0\n"
+            "else:\n"
+            "    def f(seed: int) -> float:\n"
+            "        rng = np.random.default_rng(seed)\n"
+            "        return consume(rng)\n",
+        )
+        assert _by_rule(lint_sources([main, _CONSUMER]), "RL-D005") == [
+            ("src/repro/pkg/main.py", 11)
+        ]
+
+
+def _chain(names):
+    """A return-unit chain f0 -> f1 -> ... -> f5 -> tx_power_dbm.
+
+    ``names[k]`` is the module holding ``fk``, so the module names can
+    run along the chain or against it.
+    """
+    depth = len(names)
+    files = [
+        (
+            "src/repro/pkg/u.py",
+            "__all__ = ['tx_power_dbm']\n\n\n"
+            "def tx_power_dbm() -> float:\n    return 20.0\n",
+        )
+    ]
+    for k, name in enumerate(names):
+        if k + 1 < depth:
+            callee_mod, callee = names[k + 1], f"f{k + 1}"
+        else:
+            callee_mod, callee = "u", "tx_power_dbm"
+        files.append(
+            (
+                f"src/repro/pkg/{name}.py",
+                f"from repro.pkg.{callee_mod} import {callee}\n"
+                f"__all__ = ['f{k}']\n\n\n"
+                f"def f{k}() -> float:\n    return {callee}()\n",
+            )
+        )
+    imports = "".join(
+        f"from repro.pkg.{name} import f{k}\n" for k, name in enumerate(names)
+    )
+    body = "".join(
+        f"    mixes.append(signal_w + f{k}())\n" for k in range(depth)
+    )
+    files.append(
+        (
+            "src/repro/pkg/consumer.py",
+            imports
+            + "__all__: list[str] = []\n"
+            "def total(signal_w: float) -> list[float]:\n"
+            "    mixes = []\n" + body + "    return mixes\n",
+        )
+    )
+    return sorted(files)
+
+
+class TestUnboundedUnitFixpoint:
+    ALONG = [f"m{k}" for k in range(6)]
+    AGAINST = [f"m{5 - k}" for k in range(6)]
+
+    def test_deep_cross_module_chain_reports_every_mix(self):
+        findings = _by_rule(lint_sources(_chain(self.ALONG)), "RL-P004")
+        assert findings == [
+            ("src/repro/pkg/consumer.py", line) for line in range(10, 16)
+        ]
+
+    def test_findings_do_not_depend_on_module_order(self):
+        along = lint_sources(_chain(self.ALONG))
+        against = lint_sources(_chain(self.AGAINST))
+        assert [(f.path, f.line, f.message) for f in along] == [
+            (f.path, f.line, f.message) for f in against
+        ]
+
+    def test_mutual_recursion_terminates_in_any_order(self):
+        ping = (
+            "src/repro/pkg/ping.py",
+            "__all__ = ['ping']\n\n\n"
+            "def ping(n: int, level_dbm: float) -> float:\n"
+            "    from repro.pkg.pong import pong\n"
+            "    if n > 0:\n"
+            "        return pong(n - 1, level_dbm)\n"
+            "    return level_dbm\n",
+        )
+        pong = (
+            "src/repro/pkg/pong.py",
+            "from repro.pkg.ping import ping\n"
+            "__all__ = ['pong']\n\n\n"
+            "def pong(n: int, level: float) -> float:\n"
+            "    return ping(n, level)\n",
+        )
+        user = (
+            "src/repro/pkg/user.py",
+            "from repro.pkg.pong import pong\n"
+            "__all__: list[str] = []\n"
+            "def total(signal_w: float) -> float:\n"
+            "    return signal_w + pong(3, 0.0)\n",
+        )
+        forward = lint_sources([ping, pong, user])
+        backward = lint_sources([user, pong, ping])
+        assert _by_rule(forward, "RL-P004") == [("src/repro/pkg/user.py", 4)]
+        assert forward == backward

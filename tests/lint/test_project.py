@@ -39,7 +39,6 @@ class TestProjectConstruction:
         assert {"f", "CONST", "__all__"} <= record.symbols
         assert record.dunder_all == ["f"]
         assert record.dunder_all_node is not None
-        assert "f" in record.functions
 
     def test_computed_dunder_all_is_unresolvable(self):
         project = _project(
@@ -54,15 +53,6 @@ class TestProjectConstruction:
         )
         assert len(project) == 1
 
-    def test_class_methods_are_indexed_by_qualname(self):
-        project = _project(
-            (
-                "src/repro/pkg/mod.py",
-                "class C:\n    def m(self) -> int:\n        return 1\n",
-            )
-        )
-        assert "C.m" in project.modules["repro.pkg.mod"].functions
-
 
 class TestNameResolution:
     def test_module_of_uses_longest_prefix(self):
@@ -73,17 +63,6 @@ class TestNameResolution:
         assert project.module_of("repro.em.waves.f").name == "repro.em.waves"
         assert project.module_of("repro.em.other").name == "repro.em"
         assert project.module_of("numpy.random.default_rng") is None
-
-    def test_resolve_function_crosses_modules(self):
-        project = _project(
-            ("src/repro/pkg/a.py", "def helper() -> int:\n    return 1\n"),
-        )
-        resolved = project.resolve_function("repro.pkg.a.helper")
-        assert resolved is not None
-        record, node = resolved
-        assert record.name == "repro.pkg.a"
-        assert node.name == "helper"
-        assert project.resolve_function("repro.pkg.a.nope") is None
 
 
 class TestImportGraph:
