@@ -110,21 +110,23 @@ class ChargingHardware:
         """RF power the charger radiates during any service."""
         return self.array.total_tx_power
 
+    @cached_property
+    def _pilot_verdicts(self) -> dict[ChargeMode, bool]:
+        return {}  # mode -> presence verdict, filled on first use
+
     def pilot_indicates_charging(self, mode: ChargeMode) -> bool:
         """Whether the victim's presence indicator trips in the given mode.
 
         This is the deception at the heart of the attack: it must return
         True for GENUINE *and* SPOOF, or the node would notice the spoof.
-        PRETEND radiates nothing, so the indicator stays silent.
+        PRETEND radiates nothing, so the indicator stays silent.  The
+        verdict depends only on the mode and the fixed service geometry, so
+        it is evaluated once per mode.
         """
-        if mode == ChargeMode.PRETEND:
-            return False
-        charger, victim = self._geometry()
-        phase_mode = "beamform" if mode == ChargeMode.GENUINE else "spoof"
-        return (
-            self.array.pilot_power(phase_mode, charger, victim)
-            >= self.presence_threshold_w
-        )
+        verdicts = self._pilot_verdicts
+        if mode not in verdicts:
+            verdicts[mode] = self.pilot_rf_power_w(mode) >= self.presence_threshold_w
+        return verdicts[mode]
 
     def pilot_rf_power_w(self, mode: ChargeMode) -> float:
         """RF power at the victim's pilot antenna in the given mode."""

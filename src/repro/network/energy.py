@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["RadioEnergyModel", "node_power_w"]
@@ -68,21 +70,22 @@ class RadioEnergyModel:
 
 def node_power_w(
     model: RadioEnergyModel,
-    own_rate_bps: float,
-    relay_rate_bps: float,
-    uplink_distance_m: float,
-) -> float:
-    """Total steady-state power draw of a node.
+    own_rate_bps: "np.ndarray | float",
+    relay_rate_bps: "np.ndarray | float",
+    uplink_distance_m: "np.ndarray | float",
+) -> np.ndarray:
+    """Steady-state power draw of nodes, elementwise; the caller validates.
 
-    The node receives its subtree's traffic (``relay_rate_bps``), transmits
-    that plus its own generated traffic over its uplink, and pays the
-    constant baseline.
+    A node receives its subtree's traffic (``relay_rate_bps``), transmits
+    that plus its own over its uplink, and pays the constant baseline:
+    ``baseline_w + rx_power(relay) + tx_power(own + relay, d)``, with the
+    same float operations in the same order.  ``np.float_power`` squares
+    through the C ``pow`` that Python's ``d ** 2`` calls (``d * d``
+    differs from it in the last bit for about one double in a thousand).
     """
-    own_rate_bps = check_non_negative("own_rate_bps", own_rate_bps)
-    relay_rate_bps = check_non_negative("relay_rate_bps", relay_rate_bps)
-    upstream = own_rate_bps + relay_rate_bps
-    return (
-        model.baseline_w
-        + model.rx_power(relay_rate_bps)
-        + model.tx_power(upstream, uplink_distance_m)
+    relay = np.asarray(relay_rate_bps, dtype=float)
+    e_elec = model.e_elec_j_per_bit
+    d_squared = np.float_power(uplink_distance_m, 2)
+    return (model.baseline_w + relay * e_elec) + (own_rate_bps + relay) * (
+        e_elec + model.eps_amp_j_per_bit_m2 * d_squared
     )

@@ -18,7 +18,7 @@ from repro.network.routing import RoutingTree, build_routing_tree
 from repro.network.topology import BASE_STATION_ID, Deployment, deploy_uniform
 from repro.network.traffic import TrafficModel, relay_loads
 from repro.utils.rng import coerce_rng
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_non_negative_array, check_positive, check_probability
 
 __all__ = ["Network", "build_network"]
 
@@ -130,22 +130,17 @@ class Network:
         with no route).  Dead nodes pay nothing.
         """
         alive = self.alive_ids()
-        self._tree = build_routing_tree(self.graph, alive)
-        relays = relay_loads(self._tree, self.traffic, alive)
-        for node_id, node in self.nodes.items():
-            if not node.alive:
-                node.set_consumption(0.0)
-                continue
-            if self._tree.is_connected(node_id):
-                power = node_power_w(
-                    self.radio,
-                    own_rate_bps=self.traffic.rate(node_id),
-                    relay_rate_bps=relays.get(node_id, 0.0),
-                    uplink_distance_m=self._tree.uplink_distance[node_id],
-                )
-            else:
-                power = self.radio.baseline_w
-            node.set_consumption(power)
+        tree = self._tree = build_routing_tree(self.graph, alive)
+        relays = relay_loads(tree, self.traffic, alive)
+        connected = np.array(list(relays), dtype=np.intp)
+        draw = np.where(self.ledger.alive, self.radio.baseline_w, 0.0)
+        draw[connected] = node_power_w(
+            self.radio,
+            np.array(self.traffic.rates_bps, dtype=float)[connected],
+            np.array(list(relays.values()), dtype=float),
+            np.array([tree.uplink_distance[i] for i in relays], dtype=float),
+        )
+        self.ledger.consumption_w[:] = check_non_negative_array("consumption_w", draw)
 
     # ------------------------------------------------------------------
     # Key nodes

@@ -10,9 +10,12 @@ draw (their radios idle without a route).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.network.topology import BASE_STATION_ID
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "RoutingTree",
@@ -49,10 +52,12 @@ class RoutingTree:
         for child, par in parent.items():
             if par is not None:
                 self._children.setdefault(par, []).append(child)
+        for kids in self._children.values():
+            kids.sort()
 
     def children(self, node_id: int) -> list[int]:
         """Direct children of ``node_id`` in the tree (sorted for determinism)."""
-        return sorted(self._children.get(node_id, []))
+        return list(self._children.get(node_id, ()))
 
     def connected_nodes(self) -> list[int]:
         """Sensor node ids with a route to the base station (sorted)."""
@@ -67,11 +72,8 @@ class RoutingTree:
         if node_id not in self.parent:
             raise KeyError(f"node {node_id} has no route to the base station")
         path = [node_id]
-        current: int | None = node_id
-        while current is not None and current != BASE_STATION_ID:
-            current = self.parent[current]
-            if current is not None:
-                path.append(current)
+        while path[-1] != BASE_STATION_ID:
+            path.append(self.parent[path[-1]])
         return path
 
     def depth(self, node_id: int) -> int:
@@ -90,45 +92,39 @@ def build_routing_tree(graph: nx.Graph, alive: set[int] | None = None) -> Routin
         Sensor node ids currently alive; ``None`` means all.  The base
         station never dies.
 
-    Paths minimise hop count, breaking ties by total Euclidean length, so
-    the tree is deterministic for a given graph.
+    Paths minimise hop count, then total Euclidean length.  The search
+    runs by hop layers from the base station: every node of layer ``k``
+    takes as parent the layer ``k - 1`` neighbour with the smallest
+    ``(parent length + edge distance, parent id)``, so an exact length
+    tie goes to the smallest parent id and the tree is deterministic for
+    a given graph.
     """
     if BASE_STATION_ID not in graph:
         raise ValueError("graph must contain the base station vertex")
-    if alive is None:
-        nodes = set(graph.nodes)
-    else:
-        nodes = set(alive) | {BASE_STATION_ID}
-    subgraph = graph.subgraph(nodes)
-
-    # Hop count dominates; Euclidean length breaks ties.  Scaling distance
-    # by a factor smaller than (1 / max total length) preserves hop order.
-    max_total = sum(d for _, _, d in subgraph.edges(data="distance")) + 1.0
-    weight = {
-        (u, v): 1.0 + d / max_total
-        for u, v, d in subgraph.edges(data="distance")
-    }
-
-    def edge_weight(u: int, v: int, _attrs: dict) -> float:
-        return weight.get((u, v), weight.get((v, u), 1.0))
-
-    lengths, paths = nx.single_source_dijkstra(
-        subgraph, BASE_STATION_ID, weight=edge_weight
-    )
-    del lengths
-
+    nodes = set(graph) if alive is None else set(alive) | {BASE_STATION_ID}
+    adj = graph._adj
     parent: dict[int, int | None] = {BASE_STATION_ID: None}
     uplink: dict[int, float] = {}
-    for node, path in paths.items():
-        if node == BASE_STATION_ID:
-            continue
-        next_hop = path[-2]
-        parent[node] = next_hop
-        uplink[node] = float(subgraph.edges[node, next_hop]["distance"])
+    length = {BASE_STATION_ID: 0.0}
+    layer = [BASE_STATION_ID]
+    while layer:
+        best: dict[int, tuple[float, int, float]] = {}
+        for u in layer:
+            for v, attrs in adj[u].items():
+                if v in parent or v not in nodes:
+                    continue
+                d = attrs["distance"]
+                candidate = (length[u] + d, u, d)
+                if v not in best or candidate < best[v]:
+                    best[v] = candidate
+        for v, (length_v, u, d) in best.items():
+            parent[v] = u
+            uplink[v] = float(d)
+            length[v] = length_v
+        layer = list(best)
 
-    reachable = set(parent)
     disconnected = frozenset(
-        n for n in nodes if n != BASE_STATION_ID and n not in reachable
+        n for n in nodes if n != BASE_STATION_ID and n not in parent
     )
     return RoutingTree(parent, uplink, disconnected)
 

@@ -74,6 +74,10 @@ def relay_loads(
 
     Only alive, connected descendants contribute.  Nodes not in the tree
     relay nothing.
+
+    The summation order (the iteration order of each descendant
+    frozenset) is part of the simulated output: summing subtrees instead
+    moved one load in eight in the last bit on N=1000 worlds.
     """
     descendants = descendants_by_node(tree)
     loads: dict[int, float] = {}

@@ -13,33 +13,32 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["EventQueue", "ScheduledEvent"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, slots=True)
 class ScheduledEvent:
-    """One queue entry.
-
-    Ordering is by (time, sequence); the payload never participates in
-    comparisons.
-    """
+    """One queue entry; the queue orders entries by (time, sequence)."""
 
     time: float
     sequence: int
-    kind: str = field(compare=False)
-    payload: Any = field(compare=False, default=None)
-    version_key: Any = field(compare=False, default=None)
-    version: int = field(compare=False, default=0)
+    kind: str
+    payload: Any = None
+    version_key: Any = None
+    version: int = 0
 
 
 class EventQueue:
-    """Deterministic min-heap of :class:`ScheduledEvent` with versioning."""
+    """Deterministic min-heap of ``(time, sequence, event)`` with versioning.
+
+    Sequences are unique, so heap comparisons never reach the event.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._counter = itertools.count()
         self._versions: dict[Any, int] = {}
 
@@ -91,23 +90,17 @@ class EventQueue:
         # would silently sort before every real event in the heap.
         if not math.isfinite(time):
             raise ValueError(f"cannot schedule event at time {time!r}")
-        event = ScheduledEvent(
-            time=time,
-            sequence=next(self._counter),
-            kind=kind,
-            payload=payload,
-            version_key=version_key,
-            version=self._versions.setdefault(version_key, 1) if version_key is not None else 0,
-        )
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        version = self._versions.setdefault(version_key, 1) if version_key is not None else 0
+        event = ScheduledEvent(time, sequence, kind, payload, version_key, version)
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def pop(self) -> ScheduledEvent | None:
         """Next live event, skipping stale ones; ``None`` when empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.version_key is not None:
-                if self._versions.get(event.version_key, 0) != event.version:
-                    continue
-            return event
+            event = heapq.heappop(self._heap)[2]
+            key = event.version_key
+            if key is None or self._versions.get(key, 0) == event.version:
+                return event
         return None

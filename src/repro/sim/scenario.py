@@ -73,6 +73,10 @@ class ScenarioConfig:
                 "honest_charger_count must be >= 0, "
                 f"got {self.honest_charger_count}"
             )
+        if self.key_count > self.node_count:
+            raise ValueError(
+                f"key_count ({self.key_count}) must not exceed node_count ({self.node_count})"
+            )
 
     def with_(self, **changes) -> "ScenarioConfig":
         """A copy of this config with the given fields replaced."""

@@ -32,6 +32,32 @@ class TestChargingHardware:
     def test_pilot_silent_for_pretend(self, hardware):
         assert not hardware.pilot_indicates_charging(ChargeMode.PRETEND)
 
+    @pytest.mark.parametrize("mode", list(ChargeMode))
+    def test_cached_pilot_verdict_matches_fresh_evaluation(self, mode):
+        hardware = default_charging_hardware()
+        fresh = hardware.pilot_rf_power_w(mode) >= hardware.presence_threshold_w
+        assert hardware.pilot_indicates_charging(mode) == fresh
+        # The second call is served from the cache and must agree.
+        assert hardware.pilot_indicates_charging(mode) == fresh
+
+    def test_pilot_verdict_for_single_element_array_skips_spoof(self):
+        # Spoofing needs two elements; a GENUINE-only hardware must still
+        # answer for GENUINE without evaluating the other modes.
+        from repro.em.charger_array import ChargerArray
+        from repro.mc.charger import ChargingHardware
+
+        base = default_charging_hardware()
+        single = ChargingHardware(
+            array=ChargerArray.uniform_linear(
+                count=1, spacing=0.06, tx_power_per_element=3.0
+            ),
+            rectenna=base.rectenna,
+            service_distance_m=base.service_distance_m,
+        )
+        assert single.pilot_indicates_charging(ChargeMode.GENUINE)
+        with pytest.raises(ValueError, match="at least two elements"):
+            single.pilot_indicates_charging(ChargeMode.SPOOF)
+
     def test_delivered_rate_by_mode(self, hardware):
         assert hardware.delivered_rate_w(ChargeMode.GENUINE) > 0.0
         assert hardware.delivered_rate_w(ChargeMode.SPOOF) == 0.0

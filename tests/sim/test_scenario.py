@@ -27,6 +27,25 @@ class TestDefaults:
             ScenarioConfig().node_count = 5  # type: ignore[misc]
 
 
+class TestValidation:
+    def test_more_key_nodes_than_nodes_rejected(self):
+        # Such a config used to run to the horizon and report an
+        # exhausted-key ratio of 0.0 without complaint.
+        with pytest.raises(
+            ValueError, match=r"^key_count \(50\) must not exceed node_count \(20\)$"
+        ):
+            ScenarioConfig(
+                node_count=20, key_count=50, field_width_m=40.0, field_height_m=40.0
+            )
+
+    def test_with_rechecks_key_count(self):
+        with pytest.raises(ValueError, match="must not exceed node_count"):
+            ScenarioConfig(node_count=20, key_count=10).with_(node_count=5)
+
+    def test_every_node_a_key_node_allowed(self):
+        assert ScenarioConfig(node_count=20, key_count=20).key_count == 20
+
+
 class TestFactories:
     def test_build_network_matches_config(self):
         cfg = ScenarioConfig(node_count=60, battery_capacity_j=5000.0)
